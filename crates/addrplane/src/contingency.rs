@@ -14,6 +14,12 @@
 //! Cell 0 (the unobservable ghost cell) is structurally zero: every bit
 //! fed to the recursion belongs to at least one source, so the all-"not
 //! in" path always carries an empty accumulator.
+//!
+//! The stratified build ([`stratified_contingency_counts`], §3.4) rides
+//! the same word walk: each union bit is assigned a stratum, and each
+//! stratum's bits of the word go through the same split/sparse step into
+//! that stratum's cells. The planes need not hold addresses: a /24
+//! subnet plane (bit `i` = subnet id `i`) builds its tables the same way.
 
 use crate::plane::AddrPlane;
 use std::collections::BTreeSet;
@@ -22,6 +28,11 @@ use std::collections::BTreeSet;
 /// `ghosts_core::MAX_SOURCES` (the `2^t` cell count makes larger `t`
 /// statistically meaningless).
 pub const MAX_SOURCES: usize = 16;
+
+/// Words with at most this many bits to classify take the per-bit path:
+/// a handful of shift/mask ops per bit beats the recursion's call tree
+/// when almost every leaf would be empty anyway.
+const SPARSE_BITS: u32 = 8;
 
 /// Builds the `2^t` capture-history cell counts for `t` source planes.
 ///
@@ -35,16 +46,75 @@ pub const MAX_SOURCES: usize = 16;
 ///
 /// Panics unless `1 <= planes.len() <= MAX_SOURCES`.
 pub fn contingency_counts(planes: &[&AddrPlane]) -> Vec<u64> {
+    let t = checked_sources(planes);
+    let mut counts = vec![0u64; 1usize << t];
+    for_each_shared_word(planes, |_, words, union| tally(words, union, &mut counts));
+    counts
+}
+
+/// Builds one set of `2^t` cell counts per stratum from the same word
+/// walk as [`contingency_counts`]. `stratum_of` receives the plane bit
+/// index of every set bit of the sources' union, once, in ascending
+/// order, and names its stratum (`None` drops the bit). Consecutive bits
+/// of one word that share a stratum are classified together by the
+/// kernel's split/sparse step; each bit's capture history comes from the
+/// words already loaded, never from per-source membership probes.
+///
+/// # Panics
+///
+/// Panics unless `1 <= planes.len() <= MAX_SOURCES`, and if `stratum_of`
+/// returns `Some(i)` with `i >= n_strata`.
+pub fn stratified_contingency_counts<F>(
+    planes: &[&AddrPlane],
+    n_strata: usize,
+    mut stratum_of: F,
+) -> Vec<Vec<u64>>
+where
+    F: FnMut(u32) -> Option<usize>,
+{
+    let t = checked_sources(planes);
+    let mut counts = vec![vec![0u64; 1usize << t]; n_strata];
+    for_each_shared_word(planes, |base, words, union| {
+        // The open run: a stratum and the bits assigned to it so far.
+        let mut run: Option<(usize, u64)> = None;
+        let mut rem = union;
+        while rem != 0 {
+            let bit = rem & rem.wrapping_neg();
+            let stratum = stratum_of(base | rem.trailing_zeros());
+            rem &= rem - 1;
+            match (run, stratum) {
+                (Some((open, bits)), Some(s)) if open == s => run = Some((open, bits | bit)),
+                _ => {
+                    tally_run(run, words, &mut counts);
+                    run = stratum.map(|s| (s, bit));
+                }
+            }
+        }
+        tally_run(run, words, &mut counts);
+    });
+    counts
+}
+
+/// `planes.len()`, checked against the accepted source range.
+fn checked_sources(planes: &[&AddrPlane]) -> usize {
     let t = planes.len();
     assert!(
         (1..=MAX_SOURCES).contains(&t),
         "contingency_counts: t = {t} out of range"
     );
-    // Words with at most this many union bits take the per-bit path: a
-    // handful of shift/mask ops per address beats the recursion's call
-    // tree when almost every leaf would be empty anyway.
-    const SPARSE_BITS: u32 = 8;
-    let mut counts = vec![0u64; 1usize << t];
+    t
+}
+
+/// The shared word walk: visits, in ascending order, every 64-bit word
+/// position where at least one plane has a set bit, as
+/// `f(first bit index, words, union)`. `words[i]` is plane `i`'s word
+/// there (zero where it has none) and `union` their OR. Callers pass at
+/// most `MAX_SOURCES` planes.
+fn for_each_shared_word<F>(planes: &[&AddrPlane], mut f: F)
+where
+    F: FnMut(u32, &[u64], u64),
+{
+    let t = planes.len().min(MAX_SOURCES);
     let mut keys: BTreeSet<u8> = BTreeSet::new();
     for p in planes {
         keys.extend(p.segment_keys());
@@ -55,7 +125,7 @@ pub fn contingency_counts(planes: &[&AddrPlane]) -> Vec<u64> {
         let mut srcs: Vec<(usize, &[u64])> = Vec::with_capacity(t);
         let mut lo = usize::MAX;
         let mut hi = 0usize;
-        for (i, p) in planes.iter().enumerate() {
+        for (i, p) in planes.iter().enumerate().take(t) {
             if let Some(seg) = p.segment(key) {
                 let span = seg.word_span();
                 lo = lo.min(span.start);
@@ -66,6 +136,7 @@ pub fn contingency_counts(planes: &[&AddrPlane]) -> Vec<u64> {
         // Fresh buffer per segment: sources absent from this /8 must not
         // see stale words from the previous one.
         let mut words = [0u64; MAX_SOURCES];
+        let seg_base = u32::from(key) << 24;
         for wi in lo..hi {
             let mut union = 0u64;
             for &(i, bits) in &srcs {
@@ -75,28 +146,50 @@ pub fn contingency_counts(planes: &[&AddrPlane]) -> Vec<u64> {
                 }
                 union |= w;
             }
-            if union == 0 {
-                continue;
-            }
-            if union.count_ones() <= SPARSE_BITS {
-                let mut rem = union;
-                while rem != 0 {
-                    let b = rem.trailing_zeros();
-                    rem &= rem - 1;
-                    let mut mask = 0usize;
-                    for (i, w) in words.iter().enumerate().take(t) {
-                        mask |= (((w >> b) & 1) as usize) << i;
-                    }
-                    if let Some(cell) = counts.get_mut(mask) {
-                        *cell += 1;
-                    }
-                }
-            } else {
-                split(words.get(..t).unwrap_or(&[]), union, 0, 1, &mut counts);
+            if union != 0 {
+                f(
+                    seg_base | ((wi as u32) << 6),
+                    words.get(..t).unwrap_or(&[]),
+                    union,
+                );
             }
         }
     }
-    counts
+}
+
+/// Adds the capture history of every bit of `bits` (a subset of the OR
+/// of `words`) to `counts`.
+fn tally(words: &[u64], bits: u64, counts: &mut [u64]) {
+    if bits.count_ones() <= SPARSE_BITS {
+        let mut rem = bits;
+        while rem != 0 {
+            let b = rem.trailing_zeros();
+            rem &= rem - 1;
+            let mut mask = 0usize;
+            for (i, w) in words.iter().enumerate() {
+                mask |= (((w >> b) & 1) as usize) << i;
+            }
+            if let Some(cell) = counts.get_mut(mask) {
+                *cell += 1;
+            }
+        }
+    } else {
+        split(words, bits, 0, 1, counts);
+    }
+}
+
+/// Tallies a closed stratum run into its stratum's cells.
+fn tally_run(run: Option<(usize, u64)>, words: &[u64], counts: &mut [Vec<u64>]) {
+    if let Some((stratum, bits)) = run {
+        let n = counts.len();
+        assert!(
+            stratum < n,
+            "stratum {stratum} out of range (n_strata = {n})"
+        );
+        if let Some(cells) = counts.get_mut(stratum) {
+            tally(words, bits, cells);
+        }
+    }
 }
 
 /// Recursive source-by-source refinement of one word. `acc` holds the
@@ -179,6 +272,68 @@ mod tests {
             .collect();
         let planes = [&a, &b];
         assert_eq!(contingency_counts(&planes), reference(&planes));
+    }
+
+    /// Per-stratum reference: each stratum's table from planes
+    /// restricted to that stratum's bits.
+    fn stratified_reference(
+        planes: &[&AddrPlane],
+        n: usize,
+        key: impl Fn(u32) -> Option<usize>,
+    ) -> Vec<Vec<u64>> {
+        (0..n)
+            .map(|s| {
+                let kept: Vec<AddrPlane> = planes
+                    .iter()
+                    .map(|p| {
+                        let mut q = (*p).clone();
+                        q.retain(|a| key(a) == Some(s));
+                        q
+                    })
+                    .collect();
+                let refs: Vec<&AddrPlane> = kept.iter().collect();
+                reference(&refs)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stratified_matches_reference_per_stratum() {
+        // Dense words (split path), sparse words (per-bit path), strata
+        // that change inside a word, and dropped bits.
+        let a: AddrPlane = (0u32..200).chain([0x0900_0001, u32::MAX]).collect();
+        let b: AddrPlane = (100u32..300).step_by(3).chain([0x0900_0001]).collect();
+        let c: AddrPlane = (50u32..250).step_by(2).chain([u32::MAX - 1]).collect();
+        let planes = [&a, &b, &c];
+        let key = |x: u32| match x % 7 {
+            0 => None,
+            r if x < 128 => Some(usize::from(r < 4)),
+            _ => Some(2),
+        };
+        let got = stratified_contingency_counts(&planes, 3, key);
+        assert_eq!(got, stratified_reference(&planes, 3, key));
+        // One stratum holding everything is the unstratified table.
+        let all = stratified_contingency_counts(&planes, 1, |_| Some(0));
+        assert_eq!(all, vec![contingency_counts(&planes)]);
+    }
+
+    #[test]
+    fn stratum_key_sees_each_union_bit_once_in_order() {
+        let a: AddrPlane = [5u32, 6, 0x0a00_0000].into_iter().collect();
+        let b: AddrPlane = [6u32, 7].into_iter().collect();
+        let mut seen = Vec::new();
+        stratified_contingency_counts(&[&a, &b], 1, |x| {
+            seen.push(x);
+            None
+        });
+        assert_eq!(seen, vec![5, 6, 7, 0x0a00_0000]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_range_stratum_rejected() {
+        let a: AddrPlane = [1u32].into_iter().collect();
+        stratified_contingency_counts(&[&a], 1, |_| Some(1));
     }
 
     #[test]

@@ -7,24 +7,36 @@
 //! union address/subnet counts for truncation bounds, and exact
 //! covered-address counts inside an arbitrary block — all by node
 //! walks, never by scanning a prefix list.
+//!
+//! Each stored prefix remembers its insertion ordinal (0 for the first
+//! prefix inserted, 1 for the next, …), so a caller that keeps its
+//! records in insertion order — the allocation registry — gets
+//! address → record lookup from [`PrefixPlane::longest_match_ordinal`]
+//! without a payload type.
 
-/// Sentinel for "no child".
-const NO_CHILD: u32 = u32::MAX;
+/// Sentinel for "no child" and for "no prefix ends here".
+const NONE: u32 = u32::MAX;
 
+/// 12 bytes: two child indices and the ordinal of the prefix ending at
+/// this node (`NONE` for an interior node).
 #[derive(Debug, Clone)]
 struct Node {
     zero: u32,
     one: u32,
-    terminal: bool,
+    ordinal: u32,
 }
 
 impl Node {
     fn leaf() -> Self {
         Node {
-            zero: NO_CHILD,
-            one: NO_CHILD,
-            terminal: false,
+            zero: NONE,
+            one: NONE,
+            ordinal: NONE,
         }
+    }
+
+    fn terminal(&self) -> bool {
+        self.ordinal != NONE
     }
 }
 
@@ -62,6 +74,7 @@ fn bit_at(depth: u8) -> u32 {
 /// t.insert(0x0801_0000, 16); // 8.1.0.0/16
 /// assert_eq!(t.longest_match(0x0801_0203), Some((0x0801_0000, 16)));
 /// assert_eq!(t.longest_match(0x08c8_0001), Some((0x0800_0000, 8)));
+/// assert_eq!(t.longest_match_ordinal(0x0801_0203), Some(1)); // 2nd insert
 /// assert_eq!(t.union_address_count(), 1 << 24); // nesting dedupes
 /// ```
 #[derive(Debug, Clone)]
@@ -98,15 +111,17 @@ impl PrefixPlane {
     fn child_of(&self, id: u32, bit: u32) -> u32 {
         self.nodes
             .get(id as usize)
-            .map_or(NO_CHILD, |n| if bit == 0 { n.zero } else { n.one })
+            .map_or(NONE, |n| if bit == 0 { n.zero } else { n.one })
     }
 
     fn is_terminal(&self, id: u32) -> bool {
-        self.nodes.get(id as usize).is_some_and(|n| n.terminal)
+        self.nodes.get(id as usize).is_some_and(Node::terminal)
     }
 
     /// Inserts the prefix `base/len` (host bits ignored); returns `true`
-    /// if it was not already present.
+    /// if it was not already present. A new prefix takes the next
+    /// insertion ordinal (`len()` before the call); re-inserting an
+    /// existing prefix keeps its original ordinal.
     pub fn insert(&mut self, base: u32, len: u8) -> bool {
         let len = len.min(32);
         let base = mask_base(base, len);
@@ -114,7 +129,7 @@ impl PrefixPlane {
         for depth in 0..len {
             let bit = (base >> (31 - u32::from(depth))) & 1;
             let next = self.child_of(id, bit);
-            id = if next == NO_CHILD {
+            id = if next == NONE {
                 let nid = self.nodes.len() as u32;
                 self.nodes.push(Node::leaf());
                 if let Some(n) = self.nodes.get_mut(id as usize) {
@@ -130,13 +145,33 @@ impl PrefixPlane {
             };
         }
         match self.nodes.get_mut(id as usize) {
-            Some(n) if !n.terminal => {
-                n.terminal = true;
+            Some(n) if !n.terminal() => {
+                n.ordinal = self.len as u32;
                 self.len += 1;
                 true
             }
             _ => false,
         }
+    }
+
+    /// The insertion ordinal of the most specific stored prefix
+    /// containing `addr`.
+    pub fn longest_match_ordinal(&self, addr: u32) -> Option<u32> {
+        let mut best = None;
+        let mut id = 0u32;
+        for depth in 0u8..=32 {
+            match self.nodes.get(id as usize) {
+                Some(n) if n.terminal() => best = Some(n.ordinal),
+                Some(_) => {}
+                None => break,
+            }
+            if depth == 32 {
+                break;
+            }
+            let bit = (addr >> (31 - u32::from(depth))) & 1;
+            id = self.child_of(id, bit);
+        }
+        best
     }
 
     /// The most specific stored prefix containing `addr`, as
@@ -153,7 +188,7 @@ impl PrefixPlane {
             }
             let bit = (addr >> (31 - u32::from(depth))) & 1;
             id = self.child_of(id, bit);
-            if id == NO_CHILD {
+            if id == NONE {
                 break;
             }
         }
@@ -173,7 +208,7 @@ impl PrefixPlane {
             }
             let bit = (addr >> (31 - u32::from(depth))) & 1;
             id = self.child_of(id, bit);
-            if id == NO_CHILD {
+            if id == NONE {
                 break;
             }
         }
@@ -190,16 +225,16 @@ impl PrefixPlane {
         let Some(n) = self.nodes.get(id as usize) else {
             return;
         };
-        if n.terminal {
+        if n.terminal() {
             f(base, depth);
         }
         if depth == 32 {
             return;
         }
-        if n.zero != NO_CHILD {
+        if n.zero != NONE {
             self.walk_each(n.zero, base, depth + 1, f);
         }
-        if n.one != NO_CHILD {
+        if n.one != NONE {
             self.walk_each(n.one, base | bit_at(depth), depth + 1, f);
         }
     }
@@ -224,7 +259,7 @@ impl PrefixPlane {
             }
             let bit = (base >> (31 - u32::from(depth))) & 1;
             id = self.child_of(id, bit);
-            if id == NO_CHILD {
+            if id == NONE {
                 return 0;
             }
         }
@@ -235,17 +270,17 @@ impl PrefixPlane {
         let Some(n) = self.nodes.get(id as usize) else {
             return 0;
         };
-        if n.terminal {
+        if n.terminal() {
             return block_size(depth);
         }
         if depth >= 32 {
             return 0;
         }
         let mut total = 0u64;
-        if n.zero != NO_CHILD {
+        if n.zero != NONE {
             total += self.subtree_covered(n.zero, depth + 1);
         }
-        if n.one != NO_CHILD {
+        if n.one != NONE {
             total += self.subtree_covered(n.one, depth + 1);
         }
         total
@@ -261,7 +296,7 @@ impl PrefixPlane {
         let Some(n) = self.nodes.get(id as usize) else {
             return 0;
         };
-        if n.terminal {
+        if n.terminal() {
             return if depth <= 24 {
                 // lint: allow(counting-overflow) depth <= 24 bounds the shift
                 1u64 << (24 - u32::from(depth))
@@ -273,10 +308,10 @@ impl PrefixPlane {
             return u64::from(self.subtree_any(id));
         }
         let mut total = 0u64;
-        if n.zero != NO_CHILD {
+        if n.zero != NONE {
             total += self.walk24(n.zero, depth + 1);
         }
-        if n.one != NO_CHILD {
+        if n.one != NONE {
             total += self.walk24(n.one, depth + 1);
         }
         total
@@ -286,11 +321,10 @@ impl PrefixPlane {
         let Some(n) = self.nodes.get(id as usize) else {
             return false;
         };
-        if n.terminal {
+        if n.terminal() {
             return true;
         }
-        (n.zero != NO_CHILD && self.subtree_any(n.zero))
-            || (n.one != NO_CHILD && self.subtree_any(n.one))
+        (n.zero != NONE && self.subtree_any(n.zero)) || (n.one != NONE && self.subtree_any(n.one))
     }
 }
 
@@ -316,6 +350,41 @@ mod tests {
         assert_eq!(t.longest_match(0x0b00_0000), None);
         assert!(t.contains_addr(0x0a07_0707));
         assert!(!t.contains_addr(0x0909_0909));
+    }
+
+    #[test]
+    fn ordinal_lookup_on_nested_prefixes() {
+        // Inserted out of nesting order: ordinals follow insertion, the
+        // lookup follows specificity.
+        let t = plane(&[
+            (0x0a01_0000, 16),
+            (0x0a00_0000, 8),
+            (0x0a01_0200, 24),
+            (0, 0),
+        ]);
+        assert_eq!(t.longest_match_ordinal(0x0a01_0203), Some(2));
+        assert_eq!(t.longest_match_ordinal(0x0a01_0909), Some(0));
+        assert_eq!(t.longest_match_ordinal(0x0ac8_0001), Some(1));
+        assert_eq!(t.longest_match_ordinal(0x0b00_0000), Some(3));
+        let u = plane(&[(0x0a00_0000, 8), (0x0102_0304, 32)]);
+        assert_eq!(u.longest_match_ordinal(0x0102_0304), Some(1));
+        assert_eq!(u.longest_match_ordinal(0x0102_0305), None);
+        assert_eq!(PrefixPlane::new().longest_match_ordinal(0), None);
+    }
+
+    #[test]
+    fn reinsert_keeps_first_ordinal() {
+        let mut t = plane(&[(0x0a00_0000, 8), (0x0a01_0000, 16)]);
+        assert!(!t.insert(0x0a00_0000, 8));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.longest_match_ordinal(0x0a02_0000), Some(0));
+        assert!(t.insert(0x0a00_0000, 9));
+        assert_eq!(t.longest_match_ordinal(0x0a02_0000), Some(2));
+    }
+
+    #[test]
+    fn node_stays_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 12);
     }
 
     #[test]
@@ -364,6 +433,13 @@ mod tests {
         let t = plane(&[(0x0102_0380, 25), (0x0102_0300, 26)]);
         assert_eq!(t.union_subnet24_count(), 1);
         assert_eq!(t.union_address_count(), 128 + 64);
+    }
+
+    #[test]
+    fn union_counts_disjoint_32s() {
+        let t = plane(&[(0x0102_0304, 32), (0x0102_0305, 32), (0x0909_0909, 32)]);
+        assert_eq!(t.union_address_count(), 3);
+        assert_eq!(t.union_subnet24_count(), 2);
     }
 
     #[test]

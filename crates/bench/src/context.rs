@@ -303,6 +303,7 @@ pub fn write_results(id: &str, text: &str, json: &serde_json::Value) -> std::io:
 #[allow(clippy::float_cmp)] // cache-stability asserts compare exact bits on purpose
 mod tests {
     use super::*;
+    use ghosts_net::AddrSet;
 
     /// A very small context for testing the harness plumbing.
     fn tiny_ctx() -> ReproContext {
@@ -365,29 +366,108 @@ mod tests {
         assert!(sub.total <= ctx.scenario.gt.routed.subnet24_count() as f64);
     }
 
+    /// /24 subnet sets as sets of subnet ids, so the per-address oracle
+    /// can build their tables too.
+    fn id_sets(data: &WindowData) -> Vec<AddrSet> {
+        data.sources
+            .iter()
+            .map(|d| d.subnets().iter().collect())
+            .collect()
+    }
+
+    /// The per-stratum oracle: one per-address table per stratum, over
+    /// the sources restricted (with `retain`) to that stratum's members.
+    /// `key` sees plane bits: addresses, or subnet ids.
+    fn per_stratum_oracle(
+        sets: &[AddrSet],
+        n: usize,
+        key: impl Fn(u32) -> Option<usize>,
+    ) -> Vec<ContingencyTable> {
+        // Resolve each union member's stratum once; `retain` then reads it.
+        let mut strata: BTreeMap<u32, Option<usize>> = BTreeMap::new();
+        for set in sets {
+            for x in set.iter() {
+                strata.entry(x).or_insert_with(|| key(x));
+            }
+        }
+        (0..n)
+            .map(|s| {
+                let kept: Vec<AddrSet> = sets
+                    .iter()
+                    .map(|set| {
+                        let mut set = set.clone();
+                        set.retain(|x| strata.get(&x).copied().flatten() == Some(s));
+                        set
+                    })
+                    .collect();
+                let refs: Vec<&AddrSet> = kept.iter().collect();
+                ContingencyTable::from_addr_sets_per_addr(&refs)
+            })
+            .collect()
+    }
+
     #[test]
     fn plane_kernel_matches_per_address_on_repro_windows() {
-        // The word-wise contingency kernel must be bit-identical to the
-        // per-address oracle on real repro-scenario data, at every
-        // `--threads` setting a run could use (the kernel itself is
-        // sequential, but the estimation layer's parallelism must not
-        // perturb the cached window data it reads).
+        // Every word-wise contingency builder — addresses, /24 subnets,
+        // and both stratified builders under all seven stratifications —
+        // must be bit-identical to the per-address oracle on real
+        // repro-scenario data, at every `--threads` setting a run could
+        // use (the kernel itself is sequential, but the estimation
+        // layer's parallelism must not perturb the cached window data it
+        // reads).
+        use crate::strata::{build, Strat};
+        const STRATS: [Strat; 7] = [
+            Strat::None,
+            Strat::Rir,
+            Strat::Country,
+            Strat::AllocAge,
+            Strat::PrefixSize,
+            Strat::Industry,
+            Strat::StaticDynamic,
+        ];
         for threads in [1usize, 4] {
             let mut ctx = tiny_ctx();
             ctx.parallelism = Parallelism::Fixed(threads);
             for i in [0usize, 10] {
                 let data = ctx.filtered_window(i);
                 let sets = data.addr_sets();
-                let fast = ContingencyTable::from_addr_sets(&sets);
                 let slow = ContingencyTable::from_addr_sets_per_addr(&sets);
-                assert_eq!(fast.num_sources(), slow.num_sources());
-                for mask in 0..fast.num_cells() as u16 {
-                    assert_eq!(
-                        fast.count(mask),
-                        slow.count(mask),
-                        "cell {mask} differs in window {i} at {threads} threads"
-                    );
-                }
+                assert_eq!(
+                    ContingencyTable::from_addr_sets(&sets),
+                    slow,
+                    "address table differs in window {i} at {threads} threads"
+                );
+                let subnet_sets: Vec<SubnetSet> =
+                    data.sources.iter().map(|d| d.subnets()).collect();
+                let subnet_refs: Vec<&SubnetSet> = subnet_sets.iter().collect();
+                let ids = id_sets(&data);
+                let id_refs: Vec<&AddrSet> = ids.iter().collect();
+                assert_eq!(
+                    ContingencyTable::from_subnet_sets(&subnet_refs),
+                    ContingencyTable::from_addr_sets_per_addr(&id_refs),
+                    "/24 table differs in window {i} at {threads} threads"
+                );
+            }
+            // Stratified builders on the window table5 and figs 6–9 use.
+            let data = ctx.filtered_window(ctx.windows.len() - 1);
+            let addrs: Vec<AddrSet> = data.sources.iter().map(|d| d.addrs.clone()).collect();
+            let ids = id_sets(&data);
+            for strat in STRATS {
+                let info = build(&ctx, strat);
+                let n = info.labels.len();
+                let name = strat.name();
+                let (by_addr, _) = crate::strata::tables(&data, &info, false);
+                assert_eq!(
+                    by_addr,
+                    per_stratum_oracle(&addrs, n, &info.key),
+                    "{name}: stratified address tables differ at {threads} threads"
+                );
+                let (by_subnet, _) = crate::strata::tables(&data, &info, true);
+                assert_eq!(
+                    by_subnet,
+                    per_stratum_oracle(&ids, n, |id| (info.key)(id << 8)),
+                    "{name}: stratified /24 tables differ at {threads} threads"
+                );
             }
         }
     }

@@ -130,28 +130,7 @@ impl Backend for ReproBackend {
                 ))
             })?;
         let info = strata::build(&self.ctx, strat);
-        let (tables, limits) = match request.target {
-            Target::Addr => (
-                ContingencyTable::stratified_from_addr_sets(
-                    &data.addr_sets(),
-                    info.labels.len(),
-                    |addr| (info.key)(addr),
-                ),
-                info.addr_limits.clone(),
-            ),
-            Target::Subnet => {
-                let sets: Vec<SubnetSet> = data.sources.iter().map(|s| s.subnets()).collect();
-                let refs: Vec<&SubnetSet> = sets.iter().collect();
-                (
-                    ContingencyTable::stratified_from_subnet_sets(
-                        &refs,
-                        info.labels.len(),
-                        |base| (info.key)(base),
-                    ),
-                    info.subnet_limits.clone(),
-                )
-            }
-        };
+        let (tables, limits) = strata::tables(&data, &info, request.target == Target::Subnet);
         Ok(TableSpec {
             tables,
             limits: Some(limits),

@@ -1,10 +1,10 @@
-//! Stratification helpers shared by Table 5 and Figures 6–9: key
-//! functions from address to stratum index, per-stratum routed limits,
-//! and stratified estimation over a window.
+//! Stratification helpers shared by Table 5, Figures 6–9 and the serve
+//! backend: key functions from address to stratum index, per-stratum
+//! routed limits, and stratified tables and estimates over a window.
 
 use crate::context::ReproContext;
 use ghosts_core::{estimate_stratified, ContingencyTable, StratifiedEstimate};
-use ghosts_net::{Rir, SubnetSet};
+use ghosts_net::{Industry, Rir, SubnetSet};
 use ghosts_pipeline::dataset::WindowData;
 use std::collections::BTreeSet;
 
@@ -60,126 +60,62 @@ pub struct StratInfo<'a> {
 pub fn build<'a>(ctx: &'a ReproContext, strat: Strat) -> StratInfo<'a> {
     let gt = &ctx.scenario.gt;
     let registry = &gt.registry;
+    // The allocation holding `addr`, the source of every registry key.
+    let alloc = move |addr: u32| registry.lookup(addr).map(|(_, a)| a);
     match strat {
-        Strat::None => {
-            let key = Box::new(move |_addr: u32| Some(0usize));
-            StratInfo {
-                labels: vec!["all".into()],
-                key,
-                addr_limits: vec![gt.routed.address_count()],
-                subnet_limits: vec![gt.routed.subnet24_count()],
-            }
-        }
-        Strat::Rir => {
-            let labels: Vec<String> = Rir::ALL.iter().map(|r| r.name().into()).collect();
-            let key = Box::new(move |addr: u32| {
-                registry
-                    .lookup(addr)
-                    .map(|(_, a)| Rir::ALL.iter().position(|r| *r == a.rir).unwrap())
-            });
-            let (addr_limits, subnet_limits) = limits_by(
-                ctx,
-                |addr| {
-                    registry
-                        .lookup(addr)
-                        .map(|(_, a)| Rir::ALL.iter().position(|r| *r == a.rir).unwrap())
-                },
-                Rir::ALL.len(),
-            );
-            StratInfo {
-                labels,
-                key,
-                addr_limits,
-                subnet_limits,
-            }
-        }
+        Strat::None => StratInfo {
+            labels: vec!["all".into()],
+            key: Box::new(|_| Some(0)),
+            addr_limits: vec![gt.routed.address_count()],
+            subnet_limits: vec![gt.routed.subnet24_count()],
+        },
+        Strat::Rir => keyed(ctx, Rir::ALL.iter().map(Rir::name), move |addr| {
+            let rir = alloc(addr)?.rir;
+            Rir::ALL.iter().position(|r| *r == rir)
+        }),
         Strat::Country => {
-            let mut codes: BTreeSet<String> = BTreeSet::new();
-            for a in registry.allocations() {
-                codes.insert(a.country.as_str().to_string());
-            }
-            let labels: Vec<String> = codes.into_iter().collect();
-            let labels_for_key = labels.clone();
-            let find = move |addr: u32| {
-                registry.lookup(addr).and_then(|(_, a)| {
-                    labels_for_key
-                        .binary_search_by(|l| l.as_str().cmp(a.country.as_str()))
-                        .ok()
-                })
-            };
-            let n = labels.len();
-            let (addr_limits, subnet_limits) = limits_by(ctx, &find, n);
-            StratInfo {
-                labels,
-                key: Box::new(find),
-                addr_limits,
-                subnet_limits,
-            }
+            let codes: BTreeSet<&str> = registry
+                .allocations()
+                .iter()
+                .map(|a| a.country.as_str())
+                .collect();
+            let codes: Vec<&str> = codes.into_iter().collect();
+            keyed(ctx, codes.clone(), move |addr| {
+                let code = alloc(addr)?.country;
+                codes.binary_search(&code.as_str()).ok()
+            })
         }
-        Strat::AllocAge => {
-            let years: Vec<u16> = (1983..=2014).collect();
-            let labels: Vec<String> = years.iter().map(|y| y.to_string()).collect();
-            let find = move |addr: u32| {
-                registry
-                    .lookup(addr)
-                    .map(|(_, a)| (a.alloc_year - 1983) as usize)
-            };
-            let n = labels.len();
-            let (addr_limits, subnet_limits) = limits_by(ctx, find, n);
-            StratInfo {
-                labels,
-                key: Box::new(find),
-                addr_limits,
-                subnet_limits,
-            }
-        }
-        Strat::PrefixSize => {
-            let lens: Vec<u8> = (8..=24).collect();
-            let labels: Vec<String> = lens.iter().map(|l| format!("/{l}")).collect();
-            let find = move |addr: u32| {
-                registry.lookup(addr).and_then(|(_, a)| {
-                    let l = a.prefix.len();
-                    (8..=24).contains(&l).then(|| (l - 8) as usize)
-                })
-            };
-            let n = labels.len();
-            let (addr_limits, subnet_limits) = limits_by(ctx, find, n);
-            StratInfo {
-                labels,
-                key: Box::new(find),
-                addr_limits,
-                subnet_limits,
-            }
-        }
-        Strat::Industry => {
-            use ghosts_net::Industry;
-            let labels: Vec<String> = Industry::ALL.iter().map(|i| i.name().into()).collect();
-            let find = move |addr: u32| {
-                registry
-                    .lookup(addr)
-                    .map(|(_, a)| Industry::ALL.iter().position(|i| *i == a.industry).unwrap())
-            };
-            let n = labels.len();
-            let (addr_limits, subnet_limits) = limits_by(ctx, find, n);
-            StratInfo {
-                labels,
-                key: Box::new(find),
-                addr_limits,
-                subnet_limits,
-            }
-        }
-        Strat::StaticDynamic => {
-            let labels = vec!["static".to_string(), "dynamic".to_string()];
-            let find = move |addr: u32| gt.block_of_addr(addr).map(|b| usize::from(b.dynamic_pool));
-            let n = labels.len();
-            let (addr_limits, subnet_limits) = limits_by(ctx, find, n);
-            StratInfo {
-                labels,
-                key: Box::new(find),
-                addr_limits,
-                subnet_limits,
-            }
-        }
+        Strat::AllocAge => keyed(ctx, 1983..=2014u16, move |addr| {
+            alloc(addr).map(|a| (a.alloc_year - 1983) as usize)
+        }),
+        Strat::PrefixSize => keyed(ctx, (8..=24u8).map(|l| format!("/{l}")), move |addr| {
+            let l = alloc(addr)?.prefix.len();
+            (8..=24).contains(&l).then(|| (l - 8) as usize)
+        }),
+        Strat::Industry => keyed(ctx, Industry::ALL.iter().map(Industry::name), move |addr| {
+            let industry = alloc(addr)?.industry;
+            Industry::ALL.iter().position(|i| *i == industry)
+        }),
+        Strat::StaticDynamic => keyed(ctx, ["static", "dynamic"], move |addr| {
+            gt.block_of_addr(addr).map(|b| usize::from(b.dynamic_pool))
+        }),
+    }
+}
+
+/// A stratification from its labels and key: derives the per-stratum
+/// routed limits and boxes the key.
+fn keyed<'a, L, F>(ctx: &ReproContext, labels: impl IntoIterator<Item = L>, key: F) -> StratInfo<'a>
+where
+    L: ToString,
+    F: Fn(u32) -> Option<usize> + Send + Sync + 'a,
+{
+    let labels: Vec<String> = labels.into_iter().map(|l| l.to_string()).collect();
+    let (addr_limits, subnet_limits) = limits_by(ctx, &key, labels.len());
+    StratInfo {
+        labels,
+        key: Box::new(key),
+        addr_limits,
+        subnet_limits,
     }
 }
 
@@ -194,12 +130,32 @@ fn limits_by<F: Fn(u32) -> Option<usize>>(
     let mut addrs = vec![0u64; n];
     let mut subs = vec![0u64; n];
     for block in ctx.scenario.gt.blocks() {
-        if let Some(s) = key(block.subnet << 8) {
-            addrs[s] += 256;
-            subs[s] += 1;
+        let s = key(block.subnet << 8);
+        if let Some((a, b)) = s.and_then(|s| addrs.get_mut(s).zip(subs.get_mut(s))) {
+            *a += 256;
+            *b += 1;
         }
     }
     (addrs, subs)
+}
+
+/// The per-stratum contingency tables of a window at either granularity,
+/// with the matching routed limits — the input of a stratified estimate.
+pub fn tables(
+    data: &WindowData,
+    info: &StratInfo<'_>,
+    subnets: bool,
+) -> (Vec<ContingencyTable>, Vec<u64>) {
+    let n = info.labels.len();
+    if subnets {
+        let subnet_sets: Vec<SubnetSet> = data.sources.iter().map(|d| d.subnets()).collect();
+        let refs: Vec<&SubnetSet> = subnet_sets.iter().collect();
+        let tables = ContingencyTable::stratified_from_subnet_sets(&refs, n, &info.key);
+        (tables, info.subnet_limits.clone())
+    } else {
+        let tables = ContingencyTable::stratified_from_addr_sets(&data.addr_sets(), n, &info.key);
+        (tables, info.addr_limits.clone())
+    }
 }
 
 /// Stratified CR estimate of a window at either granularity.
@@ -209,21 +165,6 @@ pub fn estimate(
     info: &StratInfo<'_>,
     subnets: bool,
 ) -> StratifiedEstimate {
-    let cfg = ctx.cr_config();
-    if subnets {
-        let subnet_sets: Vec<SubnetSet> = data.sources.iter().map(|d| d.subnets()).collect();
-        let refs: Vec<&SubnetSet> = subnet_sets.iter().collect();
-        let tables =
-            ContingencyTable::stratified_from_subnet_sets(&refs, info.labels.len(), |base| {
-                (info.key)(base)
-            });
-        estimate_stratified(&tables, Some(&info.subnet_limits), &cfg)
-    } else {
-        let sets = data.addr_sets();
-        let tables =
-            ContingencyTable::stratified_from_addr_sets(&sets, info.labels.len(), |addr| {
-                (info.key)(addr)
-            });
-        estimate_stratified(&tables, Some(&info.addr_limits), &cfg)
-    }
+    let (tables, limits) = tables(data, info, subnets);
+    estimate_stratified(&tables, Some(&limits), &ctx.cr_config())
 }

@@ -97,29 +97,20 @@ impl ContingencyTable {
         table
     }
 
-    /// Builds the table for a collection of /24 subnet sets.
+    /// Builds the table for a collection of /24 subnet sets, by the same
+    /// plane kernel over the sets' subnet-id planes.
     pub fn from_subnet_sets(sources: &[&SubnetSet]) -> Self {
-        let t = sources.len();
-        let mut table = Self::new(t);
-        let mut union = SubnetSet::new();
-        for s in sources {
-            union.union_with(s);
-        }
-        for sub in union.iter() {
-            let mut mask = 0u16;
-            for (i, s) in sources.iter().enumerate() {
-                if s.contains(sub) {
-                    mask |= 1 << i;
-                }
-            }
-            table.record(mask);
-        }
-        table
+        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
+        Self::from_planes(&planes)
     }
 
     /// Builds one table per stratum from address sets. `stratum_of` maps an
     /// address to a stratum index below `n_strata` (or `None` to drop it —
     /// e.g. addresses outside the routed space).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stratum_of` returns `Some(i)` with `i >= n_strata`.
     pub fn stratified_from_addr_sets<F>(
         sources: &[&AddrSet],
         n_strata: usize,
@@ -128,30 +119,16 @@ impl ContingencyTable {
     where
         F: Fn(u32) -> Option<usize>,
     {
-        let t = sources.len();
-        let mut tables = vec![Self::new(t); n_strata];
-        let mut union = AddrSet::new();
-        for s in sources {
-            union.union_with(s);
-        }
-        for addr in union.iter() {
-            let Some(stratum) = stratum_of(addr) else {
-                continue;
-            };
-            let mut mask = 0u16;
-            for (i, s) in sources.iter().enumerate() {
-                if s.contains(addr) {
-                    mask |= 1 << i;
-                }
-            }
-            // lint: allow(panic-path) stratum_of's contract: Some(i) implies i < n_strata
-            tables[stratum].record(mask);
-        }
-        tables
+        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
+        Self::stratified_from_planes(&planes, n_strata, stratum_of)
     }
 
     /// Builds one table per stratum from /24 subnet sets. `stratum_of`
     /// receives the subnet's base address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stratum_of` returns `Some(i)` with `i >= n_strata`.
     pub fn stratified_from_subnet_sets<F>(
         sources: &[&SubnetSet],
         n_strata: usize,
@@ -160,26 +137,30 @@ impl ContingencyTable {
     where
         F: Fn(u32) -> Option<usize>,
     {
-        let t = sources.len();
-        let mut tables = vec![Self::new(t); n_strata];
-        let mut union = SubnetSet::new();
-        for s in sources {
-            union.union_with(s);
-        }
-        for sub in union.iter() {
-            let Some(stratum) = stratum_of(SubnetSet::subnet_base(sub)) else {
-                continue;
-            };
-            let mut mask = 0u16;
-            for (i, s) in sources.iter().enumerate() {
-                if s.contains(sub) {
-                    mask |= 1 << i;
-                }
-            }
-            // lint: allow(panic-path) stratum_of's contract: Some(i) implies i < n_strata
-            tables[stratum].record(mask);
-        }
-        tables
+        let planes: Vec<&AddrPlane> = sources.iter().map(|s| s.plane()).collect();
+        Self::stratified_from_planes(&planes, n_strata, |sub| {
+            stratum_of(SubnetSet::subnet_base(sub))
+        })
+    }
+
+    /// The one stratified body: the plane kernel's word walk, split by
+    /// the stratum of each set bit
+    /// ([`ghosts_addrplane::stratified_contingency_counts`]).
+    fn stratified_from_planes<F>(
+        planes: &[&AddrPlane],
+        n_strata: usize,
+        stratum_of: F,
+    ) -> Vec<ContingencyTable>
+    where
+        F: Fn(u32) -> Option<usize>,
+    {
+        ghosts_addrplane::stratified_contingency_counts(planes, n_strata, stratum_of)
+            .into_iter()
+            .map(|counts| ContingencyTable {
+                t: planes.len(),
+                counts,
+            })
+            .collect()
     }
 
     /// Records one individual with history `mask`. A zero mask (individual
@@ -362,7 +343,6 @@ mod tests {
         assert_eq!(kernel, per_addr);
         let planes: Vec<_> = sources.iter().map(|s| s.plane()).collect();
         assert_eq!(ContingencyTable::from_planes(&planes), per_addr);
-        assert_eq!(crate::contingency_from_planes(&planes), per_addr);
     }
 
     #[test]
@@ -407,6 +387,21 @@ mod tests {
         assert_eq!(tables[0].count(0b11), 2);
         assert_eq!(tables[1].observed_total(), 1); // addr 200
         assert_eq!(tables[1].count(0b01), 1);
+    }
+
+    #[test]
+    fn stratified_subnet_sets_key_on_base_addresses() {
+        let s1: SubnetSet = [1u32, 2, 0x0a_0000].into_iter().collect();
+        let s2: SubnetSet = [2u32, 0x0a_0000].into_iter().collect();
+        // Stratum 0: inside 10.0.0.0/8; stratum 1: below it.
+        let tables = ContingencyTable::stratified_from_subnet_sets(&[&s1, &s2], 2, |base| {
+            assert_eq!(base & 0xff, 0, "keys see /24 base addresses");
+            Some(usize::from(base < 0x0a00_0000))
+        });
+        assert_eq!(tables[0].count(0b11), 1); // 10.0.0.0/24
+        assert_eq!(tables[1].count(0b01), 1); // 0.0.1.0/24
+        assert_eq!(tables[1].count(0b11), 1); // 0.0.2.0/24
+        assert_eq!(tables[0].observed_total() + tables[1].observed_total(), 3);
     }
 
     #[test]

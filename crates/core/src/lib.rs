@@ -77,14 +77,6 @@ pub use estimator::{
 };
 pub use fit::{fit_llm, fit_llm_opts, fit_llm_traced, CellModel, FitOptions, FittedLlm};
 pub use history::ContingencyTable;
-
-/// Builds all `2^t` capture-history cells directly from `t` source
-/// bitmap planes — the word-wise kernel path
-/// ([`ContingencyTable::from_planes`]) as a free function, for callers
-/// holding raw `ghosts_addrplane::AddrPlane`s.
-pub fn contingency_from_planes(planes: &[&ghosts_addrplane::AddrPlane]) -> ContingencyTable {
-    ContingencyTable::from_planes(planes)
-}
 pub use ic::{DivisorRule, IcKind};
 pub use jackknife::{jackknife, jackknife_select, JackknifeEstimate};
 pub use lp::{chapman, lincoln_petersen, lincoln_petersen_pair, TwoSampleEstimate};

@@ -3,11 +3,11 @@
 //! The paper stratifies by RIR, country, prefix size, industry and
 //! allocation age (§3.4), using RIR delegation files and whois data. This
 //! module models those records: an [`Allocation`] carries the stratification
-//! attributes, and a [`Registry`] indexes allocations in a prefix trie for
-//! O(32) address→allocation lookup.
+//! attributes, and a [`Registry`] indexes allocations in a `PrefixPlane`
+//! trie for O(32) address→allocation lookup.
 
 use crate::addr::Prefix;
-use crate::trie::PrefixTrie;
+use ghosts_addrplane::PrefixPlane;
 use std::fmt;
 
 /// The five Regional Internet Registries.
@@ -145,11 +145,11 @@ pub struct Allocation {
 /// [`Registry::allocations`]).
 pub type AllocationId = u32;
 
-/// An indexed collection of allocations.
+/// An indexed collection of allocations (trie ordinal = [`AllocationId`]).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     allocations: Vec<Allocation>,
-    index: PrefixTrie<AllocationId>,
+    index: PrefixPlane,
 }
 
 impl Registry {
@@ -166,10 +166,10 @@ impl Registry {
     /// unique per prefix; nested delegations of different lengths are fine).
     pub fn add(&mut self, alloc: Allocation) -> AllocationId {
         let id = self.allocations.len() as AllocationId;
-        let prev = self.index.insert(alloc.prefix, id);
+        let fresh = self.index.insert(alloc.prefix.base(), alloc.prefix.len());
         assert!(
-            prev.is_none(),
-            "Registry: duplicate allocation for {}",
+            fresh,
+            "Registry: duplicate allocation for {} (one delegation per prefix)",
             alloc.prefix
         );
         self.allocations.push(alloc);
@@ -198,8 +198,8 @@ impl Registry {
 
     /// The most specific allocation containing `addr`, if any.
     pub fn lookup(&self, addr: u32) -> Option<(AllocationId, &Allocation)> {
-        let (_, &id) = self.index.longest_match(addr)?;
-        Some((id, &self.allocations[id as usize]))
+        let id = self.index.longest_match_ordinal(addr)?;
+        Some((id, self.allocations.get(id as usize)?))
     }
 
     /// Total allocated address count (union, nested delegations deduped).

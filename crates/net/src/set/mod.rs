@@ -10,8 +10,9 @@
 //!   allocated 2 MiB segments, one per populated /8. Densely used space
 //!   costs one bit per address; completely unused /8s cost nothing, and
 //!   untouched pages inside a segment stay copy-on-write zero pages.
-//! * [`SubnetSet`] — a flat 2 MiB bitmap over all 2²⁴ possible /24
-//!   subnets (a /24 is "used" if any of its addresses is, §4).
+//! * [`SubnetSet`] — the same plane over the 2²⁴ possible /24 subnet ids
+//!   (a /24 is "used" if any of its addresses is, §4): subnet id `i` is
+//!   bit `i`, so the whole /24 space is the plane's first segment.
 
 mod addr_set;
 mod subnet_set;

@@ -1,42 +1,40 @@
-//! A flat bitmap set over all 2²⁴ possible /24 subnets.
+//! A set of /24 subnets: the address plane over 24-bit subnet ids.
 
 use crate::addr::Prefix;
+use ghosts_addrplane::AddrPlane;
 
-const TOTAL_SUBNETS: usize = 1 << 24;
-const WORDS: usize = TOTAL_SUBNETS / 64;
+const TOTAL_SUBNETS: u32 = 1 << 24;
 
 /// A set of /24 subnets, identified by the top 24 bits of an address
-/// (`addr >> 8`). Backed by one flat 2 MiB bitmap — small enough to
-/// allocate eagerly, large enough to hold the entire IPv4 /24 space.
-#[derive(Clone)]
+/// (`addr >> 8`). Subnet id `i` is bit `i` of an [`AddrPlane`], so the
+/// whole /24 space fits in the plane's first 2 MiB segment, allocated
+/// on the first insert; every operation forwards to the plane's
+/// word-wise kernels.
+#[derive(Clone, Default)]
 pub struct SubnetSet {
-    bits: Vec<u64>,
-    len: u64,
-}
-
-impl Default for SubnetSet {
-    fn default() -> Self {
-        Self::new()
-    }
+    plane: AddrPlane,
 }
 
 impl SubnetSet {
     /// Creates an empty set.
     pub fn new() -> Self {
-        Self {
-            bits: vec![0u64; WORDS],
-            len: 0,
-        }
+        Self::default()
+    }
+
+    /// The backing bitmap plane over subnet ids (for word-wise kernels —
+    /// e.g. the bitwise contingency build in `ghosts_core`).
+    pub fn plane(&self) -> &AddrPlane {
+        &self.plane
     }
 
     /// Number of subnets in the set.
     pub fn len(&self) -> u64 {
-        self.len
+        self.plane.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.plane.is_empty()
     }
 
     /// Inserts subnet id `sub` (must be `< 2²⁴`); returns `true` if new.
@@ -45,96 +43,55 @@ impl SubnetSet {
     ///
     /// Panics if `sub >= 2²⁴`.
     pub fn insert(&mut self, sub: u32) -> bool {
-        assert!(
-            (sub as usize) < TOTAL_SUBNETS,
-            "subnet id {sub} out of range"
-        );
-        let word = &mut self.bits[(sub / 64) as usize];
-        let mask = 1u64 << (sub % 64);
-        if *word & mask != 0 {
-            return false;
-        }
-        *word |= mask;
-        self.len += 1;
-        true
+        assert!(sub < TOTAL_SUBNETS, "subnet id {sub} out of range");
+        self.plane.insert(sub)
     }
 
     /// Inserts the /24 containing `addr`.
     pub fn insert_addr(&mut self, addr: u32) -> bool {
-        self.insert(addr >> 8)
+        self.plane.insert(addr >> 8)
     }
 
     /// Removes subnet id `sub`; returns `true` if it was present.
     pub fn remove(&mut self, sub: u32) -> bool {
-        if (sub as usize) >= TOTAL_SUBNETS {
-            return false;
-        }
-        let word = &mut self.bits[(sub / 64) as usize];
-        let mask = 1u64 << (sub % 64);
-        if *word & mask == 0 {
-            return false;
-        }
-        *word &= !mask;
-        self.len -= 1;
-        true
+        self.plane.remove(sub)
     }
 
     /// Membership test by subnet id.
     pub fn contains(&self, sub: u32) -> bool {
-        (sub as usize) < TOTAL_SUBNETS && self.bits[(sub / 64) as usize] & (1u64 << (sub % 64)) != 0
+        self.plane.contains(sub)
     }
 
     /// Membership test by address.
     pub fn contains_addr(&self, addr: u32) -> bool {
-        self.contains(addr >> 8)
+        self.plane.contains(addr >> 8)
     }
 
     /// Merges `other` into `self` (set union).
     pub fn union_with(&mut self, other: &SubnetSet) {
-        let mut len = 0u64;
-        for (w, ow) in self.bits.iter_mut().zip(&other.bits) {
-            *w |= *ow;
-            len += u64::from(w.count_ones());
-        }
-        self.len = len;
+        self.plane.union_with(&other.plane);
     }
 
     /// Number of subnets present in both sets.
     pub fn intersection_count(&self, other: &SubnetSet) -> u64 {
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(a, b)| u64::from((a & b).count_ones()))
-            .sum()
+        self.plane.intersection_count(&other.plane)
     }
 
     /// The intersection of two sets as a new set.
     pub fn intersect(&self, other: &SubnetSet) -> SubnetSet {
-        let mut out = SubnetSet::new();
-        let mut len = 0u64;
-        for (w, (a, b)) in out
-            .bits
-            .iter_mut()
-            .zip(self.bits.iter().zip(other.bits.iter()))
-        {
-            *w = a & b;
-            len += u64::from(w.count_ones());
+        SubnetSet {
+            plane: self.plane.intersect(&other.plane),
         }
-        out.len = len;
-        out
     }
 
     /// Removes from `self` every subnet present in `other`.
     pub fn subtract(&mut self, other: &SubnetSet) {
-        let mut len = 0u64;
-        for (w, ow) in self.bits.iter_mut().zip(&other.bits) {
-            *w &= !*ow;
-            len += u64::from(w.count_ones());
-        }
-        self.len = len;
+        self.plane.subtract(&other.plane);
     }
 
-    /// Number of set subnets inside an address prefix (`len <= 24`).
+    /// Number of set subnets inside an address prefix (`len <= 24`): the
+    /// plane popcount of the prefix's subnet-id range `base >> 8 /
+    /// len + 8`.
     ///
     /// # Panics
     ///
@@ -146,48 +103,19 @@ impl SubnetSet {
             "count_in_prefix: /{} is below subnet granularity",
             prefix.len()
         );
-        let start = (prefix.base() >> 8) as usize;
-        let end = (prefix.last_address() >> 8) as usize;
-        count_bit_range(&self.bits, start, end)
+        self.plane
+            .count_in_prefix(prefix.base() >> 8, prefix.len() + 8)
     }
 
     /// Iterates subnet ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| **w != 0)
-            .flat_map(|(wi, &w)| {
-                let mut word = w;
-                std::iter::from_fn(move || {
-                    if word == 0 {
-                        return None;
-                    }
-                    let b = word.trailing_zeros();
-                    word &= word - 1;
-                    Some((wi as u32) * 64 + b)
-                })
-            })
+        self.plane.iter()
     }
 
     /// The base address of subnet id `sub` (i.e. `sub << 8`).
     pub fn subnet_base(sub: u32) -> u32 {
         sub << 8
     }
-}
-
-fn count_bit_range(words: &[u64], start: usize, end: usize) -> u64 {
-    let (sw, sb) = (start / 64, start % 64);
-    let (ew, eb) = (end / 64, end % 64);
-    if sw == ew {
-        let mask = (u64::MAX << sb) & (u64::MAX >> (63 - eb));
-        return u64::from((words[sw] & mask).count_ones());
-    }
-    let mut total = u64::from((words[sw] & (u64::MAX << sb)).count_ones());
-    for w in &words[sw + 1..ew] {
-        total += u64::from(w.count_ones());
-    }
-    total + u64::from((words[ew] & (u64::MAX >> (63 - eb))).count_ones())
 }
 
 impl FromIterator<u32> for SubnetSet {
@@ -202,7 +130,7 @@ impl FromIterator<u32> for SubnetSet {
 
 impl std::fmt::Debug for SubnetSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SubnetSet {{ len: {} }}", self.len)
+        write!(f, "SubnetSet {{ len: {} }}", self.plane.len())
     }
 }
 

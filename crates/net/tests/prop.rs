@@ -1,6 +1,6 @@
-//! Property-based tests for the IPv4 substrate: the bitmap sets against a
-//! `HashSet` reference model, prefix algebra laws, and the free-block
-//! census identity `x' − x = A·n`.
+//! Property-based tests for the IPv4 substrate: the bitmap sets against
+//! `HashSet`/`BTreeSet` reference models, prefix algebra laws, and the
+//! free-block census identity `x' − x = A·n`.
 
 // The reference model deliberately uses HashSet: its semantics (not its
 // iteration order) are what AddrSet is checked against.
@@ -9,7 +9,7 @@
 use ghosts_net::freeblocks::{additions_by_block_size, apply_additions, free_block_census};
 use ghosts_net::{AddrSet, Prefix, SubnetSet};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Operations for the set-model property.
 #[derive(Debug, Clone)]
@@ -29,7 +29,99 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One past the largest /24 subnet id.
+const SUBNETS: u32 = 1 << 24;
+
+/// Operations for the `SubnetSet` model property.
+#[derive(Debug, Clone)]
+enum SubOp {
+    Insert(u32),
+    Remove(u32),
+    Contains(u32),
+    Union(Vec<u32>),
+    Intersect(Vec<u32>),
+    Subtract(Vec<u32>),
+    CountInPrefix(u32, u8),
+    /// `contains`/`remove` of an id at or above 2^24.
+    OutOfRange(u32),
+}
+
+/// Subnet ids clustered at both ends of the id space (so words collide
+/// and the extreme ids 0 and 2^24−1 recur), plus uniform ones.
+fn subnet_id() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        Just(SUBNETS - 1),
+        0u32..300,
+        SUBNETS - 300..SUBNETS,
+        0u32..SUBNETS,
+    ]
+}
+
+fn sub_op_strategy() -> impl Strategy<Value = SubOp> {
+    let ids = || proptest::collection::vec(subnet_id(), 0..40);
+    prop_oneof![
+        subnet_id().prop_map(SubOp::Insert),
+        subnet_id().prop_map(SubOp::Remove),
+        subnet_id().prop_map(SubOp::Contains),
+        ids().prop_map(SubOp::Union),
+        ids().prop_map(SubOp::Intersect),
+        ids().prop_map(SubOp::Subtract),
+        // A base subnet and a length in /0–/24 (the shim has no tuple
+        // strategies, so both come from a pair of ids).
+        proptest::collection::vec(subnet_id(), 2usize)
+            .prop_map(|v| SubOp::CountInPrefix(v[0] << 8, (v[1] % 25) as u8)),
+        (SUBNETS..=u32::MAX).prop_map(SubOp::OutOfRange),
+    ]
+}
+
 proptest! {
+    #[test]
+    fn subnetset_matches_btreeset_model(ops in proptest::collection::vec(sub_op_strategy(), 1..120)) {
+        let mut set = SubnetSet::new();
+        let mut model: BTreeSet<u32> = BTreeSet::new();
+        for op in ops {
+            match op {
+                SubOp::Insert(id) => prop_assert_eq!(set.insert(id), model.insert(id)),
+                SubOp::Remove(id) => prop_assert_eq!(set.remove(id), model.remove(&id)),
+                SubOp::Contains(id) => {
+                    prop_assert_eq!(set.contains(id), model.contains(&id));
+                    prop_assert_eq!(set.contains_addr(id << 8 | 0x7f), model.contains(&id));
+                }
+                SubOp::Union(ids) => {
+                    set.union_with(&ids.iter().copied().collect());
+                    model.extend(ids);
+                }
+                SubOp::Intersect(ids) => {
+                    let other: SubnetSet = ids.iter().copied().collect();
+                    let other_model: BTreeSet<u32> = ids.into_iter().collect();
+                    let want: BTreeSet<u32> = model.intersection(&other_model).copied().collect();
+                    prop_assert_eq!(set.intersection_count(&other), want.len() as u64);
+                    set = set.intersect(&other);
+                    model = want;
+                }
+                SubOp::Subtract(ids) => {
+                    set.subtract(&ids.iter().copied().collect());
+                    for id in ids {
+                        model.remove(&id);
+                    }
+                }
+                SubOp::CountInPrefix(base, len) => {
+                    let prefix = Prefix::new(base, len);
+                    let want = model.iter().filter(|&&id| prefix.contains(id << 8)).count();
+                    prop_assert_eq!(set.count_in_prefix(prefix), want as u64);
+                }
+                SubOp::OutOfRange(id) => {
+                    prop_assert!(!set.contains(id));
+                    prop_assert!(!set.remove(id));
+                }
+            }
+            prop_assert_eq!(set.len(), model.len() as u64);
+            prop_assert_eq!(set.is_empty(), model.is_empty());
+        }
+        prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.into_iter().collect::<Vec<_>>());
+    }
+
     #[test]
     fn addrset_matches_hashset_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
         let mut set = AddrSet::new();
