@@ -266,10 +266,19 @@ mod tests {
         s.insert(a("10.0.0.200")); // same /24
         s.insert(a("10.0.1.1"));
         s.insert(a("172.16.5.9"));
+        s.insert(0);
+        s.insert(u32::MAX);
         let subs = s.to_subnet24();
-        assert_eq!(subs.len(), 3);
-        assert!(subs.contains(a("10.0.0.0") >> 8));
-        assert!(subs.contains(a("172.16.5.0") >> 8));
+        assert_eq!(
+            subs.iter().collect::<Vec<_>>(),
+            vec![
+                0,
+                a("10.0.0.0") >> 8,
+                a("10.0.1.0") >> 8,
+                a("172.16.5.0") >> 8,
+                (1 << 24) - 1
+            ]
+        );
     }
 
     #[test]
