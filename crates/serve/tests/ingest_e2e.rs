@@ -13,7 +13,9 @@ use ghosts_serve::{MetricsHub, Server, ServerConfig, ServerHandle};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-/// The fault plan is process-global: fault-using tests serialise on this.
+/// The fault plan is process-global: every test that runs an ingest
+/// server serialises on this, so a plan armed by one test never fires in
+/// another test's appends or checkpoints.
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
 fn plan_lock() -> MutexGuard<'static, ()> {
@@ -59,6 +61,7 @@ fn batch(key: &str, source: &str, addrs: &[&str]) -> String {
 
 #[test]
 fn acked_batches_survive_restart_byte_identically() {
+    let _guard = plan_lock();
     let dir = scratch("restart");
     let server = start_ingest(&dir, ServerConfig::default());
 
@@ -151,6 +154,7 @@ fn acked_batches_survive_restart_byte_identically() {
 
 #[test]
 fn worker_count_does_not_change_the_state_digest() {
+    let _guard = plan_lock();
     let digest_with = |workers: usize, tag: &str| {
         let dir = scratch(tag);
         let server = start_ingest(
@@ -186,6 +190,7 @@ fn worker_count_does_not_change_the_state_digest() {
 
 #[test]
 fn bounded_ingest_sheds_with_429_and_retry_after() {
+    let _guard = plan_lock();
     let dir = scratch("shed");
     let server = start_ingest(
         &dir,
@@ -228,6 +233,7 @@ fn bounded_ingest_sheds_with_429_and_retry_after() {
 
 #[test]
 fn drain_checkpoints_then_refuses_new_observations() {
+    let _guard = plan_lock();
     let dir = scratch("drain");
     let server = start_ingest(&dir, ServerConfig::default());
     assert!(!server.drain_requested());
@@ -293,6 +299,7 @@ fn ingest_endpoints_404_without_an_ingest_dir() {
 
 #[test]
 fn invalid_batches_are_rejected_and_estimate_422s_when_empty() {
+    let _guard = plan_lock();
     let dir = scratch("reject");
     let server = start_ingest(&dir, ServerConfig::default());
 
