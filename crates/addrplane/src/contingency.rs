@@ -21,8 +21,7 @@
 //! that stratum's cells. The planes need not hold addresses: a /24
 //! subnet plane (bit `i` = subnet id `i`) builds its tables the same way.
 
-use crate::plane::AddrPlane;
-use std::collections::BTreeSet;
+use crate::plane::{seg_base, AddrPlane};
 
 /// Maximum number of sources a contingency build accepts; mirrors
 /// `ghosts_core::MAX_SOURCES` (the `2^t` cell count makes larger `t`
@@ -115,14 +114,14 @@ where
     F: FnMut(u32, &[u64], u64),
 {
     let t = planes.len().min(MAX_SOURCES);
-    let mut keys: BTreeSet<u8> = BTreeSet::new();
-    for p in planes {
-        keys.extend(p.segment_keys());
-    }
+    let mut keys: Vec<u32> = planes.iter().flat_map(|p| p.segment_keys()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut srcs: Vec<(usize, &[u64])> = Vec::with_capacity(t);
     for key in keys {
         // Resolve each present source to its raw word slice once per
         // segment; the word loop then runs on plain slice loads.
-        let mut srcs: Vec<(usize, &[u64])> = Vec::with_capacity(t);
+        srcs.clear();
         let mut lo = usize::MAX;
         let mut hi = 0usize;
         for (i, p) in planes.iter().enumerate().take(t) {
@@ -133,10 +132,10 @@ where
                 srcs.push((i, seg.words_all()));
             }
         }
-        // Fresh buffer per segment: sources absent from this /8 must not
-        // see stale words from the previous one.
+        // Fresh buffer per segment: sources absent from this segment must
+        // not see stale words from the previous one.
         let mut words = [0u64; MAX_SOURCES];
-        let seg_base = u32::from(key) << 24;
+        let seg_base = seg_base(key);
         for wi in lo..hi {
             let mut union = 0u64;
             for &(i, bits) in &srcs {

@@ -2,9 +2,9 @@
 //!
 //! A dependency-free bitmap plane over the full IPv4 space for the
 //! *Capturing Ghosts* reproduction (Zander, Andrew & Armitage, IMC
-//! 2014). One bit per address, 2 MiB segments allocated lazily on the
-//! first set bit, and every data structure iterates in ascending
-//! address order by construction:
+//! 2014). One bit per address, one-page (4 KiB, /17) segments allocated
+//! lazily on the first set bit, and every data structure iterates in
+//! ascending address order by construction:
 //!
 //! * [`AddrPlane`] — the segmented bitmap with word-wise boolean
 //!   kernels (AND/OR/XOR/AND-NOT), popcounts per arbitrary range or

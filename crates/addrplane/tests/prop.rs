@@ -2,15 +2,16 @@
 //! `BTreeSet<u32>` reference model under random operation sequences, and
 //! segment-boundary edge cases the random strategies would rarely reach.
 
-use ghosts_addrplane::AddrPlane;
+use ghosts_addrplane::{AddrPlane, SEG_BITS};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// Addresses drawn so sequences collide, straddle a segment boundary
-/// (`2^24`), and touch both extremes of the space.
+/// Addresses drawn so sequences collide, straddle segment boundaries
+/// (`2^15` and the /8 seam `2^24`), and touch both extremes of the space.
 fn addr_strategy() -> impl Strategy<Value = u32> {
     prop_oneof![
-        0x00ff_ff00u32..0x0100_0100u32, // straddles segment 0 → 1
+        0x0000_7f00u32..0x0000_8100u32, // straddles segment 0 → 1
+        0x00ff_ff00u32..0x0100_0100u32, // straddles the first /8 seam
         0x0a00_0000u32..0x0a00_0400u32, // dense cluster inside one /8
         Just(0u32),
         Just(u32::MAX),
@@ -128,30 +129,59 @@ proptest! {
 
 #[test]
 fn segment_boundary_edge_cases() {
+    let seg = SEG_BITS as u32;
     let mut p = AddrPlane::new();
-    // Extremes of the space and both sides of every byte of the first
-    // segment boundary.
-    for a in [0u32, 1, (1 << 24) - 1, 1 << 24, u32::MAX - 1, u32::MAX] {
+    // Extremes of the space and both sides (±1) of the first and last
+    // segment boundaries.
+    for a in [
+        0u32,
+        1,
+        seg - 2,
+        seg - 1,
+        seg,
+        seg + 1,
+        u32::MAX - seg,
+        u32::MAX - seg + 1,
+        u32::MAX - 1,
+        u32::MAX,
+    ] {
         assert!(p.insert(a), "fresh insert of {a}");
         assert!(p.contains(a));
     }
-    assert_eq!(p.len(), 6);
-    assert_eq!(p.segment_count(), 3); // 0.x, 1.x, 255.x
+    assert_eq!(p.len(), 10);
+    assert_eq!(p.segment_count(), 4); // first two and last two /17s
+    assert_eq!(p.per_octet_counts()[0], 6);
+    assert_eq!(p.per_octet_counts()[255], 4);
 
-    // A /7 straddles two /8 segments; prefixes of length ≥ 8 are always
-    // /8-aligned, so 0.255.254.0/23 ends right at the segment boundary.
-    assert_eq!(p.count_in_prefix(0, 7), 4); // 0.0.0.0–1.255.255.255
-    assert_eq!(p.count_in_prefix(0x00ff_fe00, 23), 1); // holds 0.255.255.255
-    assert_eq!(p.count_in_prefix(u32::MAX, 8), 2);
-    assert_eq!(p.count_in_prefix(0, 0), 6);
+    // A /16 straddles no segment; a /14 spans four. Prefixes of length
+    // ≥ 17 never straddle, so 0.0.126.0/23 ends right at the boundary.
+    assert_eq!(p.count_in_prefix(0, 14), 6); // 0.0.0.0–0.3.255.255
+    assert_eq!(p.count_in_prefix(0, 16), 6);
+    assert_eq!(p.count_in_prefix(0, 17), 4);
+    assert_eq!(p.count_in_prefix(seg, 17), 2);
+    assert_eq!(p.count_in_prefix(seg - 512, 23), 2); // holds seg − 2, seg − 1
+    assert_eq!(p.count_in_prefix(seg, 31), 2);
+    assert_eq!(p.count_in_prefix(u32::MAX, 17), 3);
+    assert_eq!(p.count_in_prefix(u32::MAX - seg, 17), 1);
+    assert_eq!(p.count_in_prefix(u32::MAX, 8), 4);
+    assert_eq!(p.count_range(seg - 1, seg), 2);
+    assert_eq!(p.count_range(u32::MAX - seg, u32::MAX - seg + 1), 2);
+    assert_eq!(p.count_in_prefix(0, 0), 10);
     assert_eq!(p.count_in_prefix(0, 32), 1);
     assert_eq!(p.count_in_prefix(u32::MAX, 32), 1);
 }
 
 #[test]
 fn fill_prefix_straddling_segments_matches_per_bit() {
-    // 0.255.255.128/25 through 1.0.0.127: a /7-contained fill crossing
-    // the segment directory's key boundary.
+    // A /16 fill covers two whole segments; its count splits evenly at
+    // the key boundary.
+    let mut two = AddrPlane::new();
+    assert_eq!(two.fill_prefix(0x0a00_0000, 16), 1 << 16);
+    assert_eq!(two.segment_count(), 2);
+    assert_eq!(two.count_range(0x0a00_7fff, 0x0a00_8000), 2);
+    assert_eq!(two.count_in_prefix(0x0a00_8000, 17), 1 << 15);
+    assert!(!two.contains(0x0a01_0000) && !two.contains(0x09ff_ffff));
+    // 0.255.255.128/25: the last bits of the /8's last segment.
     let mut filled = AddrPlane::new();
     let added = filled.fill_prefix(0x00ff_ff80, 25);
     assert_eq!(added, 128);

@@ -473,6 +473,75 @@ mod tests {
     }
 
     #[test]
+    fn selection_matches_dense_oracle_on_repro_windows() {
+        // The mask kernels must reproduce the dense-design search exactly:
+        // same chosen model, bit-equal IC values for every candidate, on
+        // real repro tables under both cell models, at every `--threads`
+        // setting (candidates fan out over workers). Debug builds check a
+        // subset; the GLM kernel smoke in scripts/ci.sh runs all of it in
+        // release.
+        use crate::strata::{build, Strat};
+        use ghosts_core::{select_model, select_model_dense, CellModel, SelectionResult};
+        fn same(a: &SelectionResult, b: &SelectionResult, what: &str) {
+            assert_eq!(a.model, b.model, "{what}: chosen model");
+            assert_eq!(a.ic.to_bits(), b.ic.to_bits(), "{what}: IC");
+            assert_eq!(a.best_ic.to_bits(), b.best_ic.to_bits(), "{what}: best IC");
+            assert_eq!(a.divisor, b.divisor, "{what}: divisor");
+            assert_eq!(a.evaluated.len(), b.evaluated.len(), "{what}: candidates");
+            for (x, y) in a.evaluated.iter().zip(&b.evaluated) {
+                assert_eq!(x.model, y.model, "{what}: search order");
+                assert_eq!(
+                    x.ic.to_bits(),
+                    y.ic.to_bits(),
+                    "{what}: {}",
+                    x.model.describe()
+                );
+            }
+        }
+        let full = !cfg!(debug_assertions);
+        let ctx = tiny_ctx();
+        let gt = &ctx.scenario.gt;
+        let mut cases: Vec<(String, ContingencyTable, CellModel)> = Vec::new();
+        for i in [0usize, 10] {
+            let data = ctx.filtered_window(i);
+            if full || i == 0 {
+                let limit = gt.routed.address_count();
+                let table = ContingencyTable::from_addr_sets(&data.addr_sets());
+                cases.push((
+                    format!("window {i} addresses"),
+                    table,
+                    CellModel::Truncated { limit },
+                ));
+            }
+            let subnets: Vec<SubnetSet> = data.sources.iter().map(|d| d.subnets()).collect();
+            let refs: Vec<&SubnetSet> = subnets.iter().collect();
+            let table = ContingencyTable::from_subnet_sets(&refs);
+            cases.push((format!("window {i} /24s"), table, CellModel::Poisson));
+        }
+        // Small strata put fitted means against their truncation limits,
+        // where the truncated likelihood terms do real work.
+        let data = ctx.filtered_window(ctx.windows.len() - 1);
+        let info = build(&ctx, Strat::Rir);
+        let (tables, limits) = crate::strata::tables(&data, &info, true);
+        for (k, (table, limit)) in tables.into_iter().zip(limits).enumerate() {
+            if table.observed_total() > 0 && (full || k == 1) {
+                let name = format!("RIR stratum {k} /24s");
+                cases.push((name, table, CellModel::Truncated { limit }));
+            }
+        }
+        let mut opts = ctx.cr_config().selection;
+        for (what, table, cell_model) in &cases {
+            opts.parallelism = Parallelism::Fixed(1);
+            let dense = select_model_dense(table, *cell_model, &opts).unwrap();
+            for threads in [1usize, 4] {
+                opts.parallelism = Parallelism::Fixed(threads);
+                let fast = select_model(table, *cell_model, &opts).unwrap();
+                same(&fast, &dense, &format!("{what} at {threads} threads"));
+            }
+        }
+    }
+
+    #[test]
     fn spoof_volumes_scale_with_denominator() {
         let big = ReproContext::new(256, 7);
         let small = tiny_ctx();

@@ -15,7 +15,7 @@ use crate::fit::{fit_llm_opts, CellModel, FitOptions};
 use crate::history::ContingencyTable;
 use crate::model::LogLinearModel;
 use ghosts_obs::{FieldValue, Scope};
-use ghosts_stats::glm::{self, GlmError};
+use ghosts_stats::glm::{self, CountFamily, Counts, Design, GlmError, LogLinearDesign};
 use ghosts_stats::optimize::{bisect, expand_until_sign_change, golden_min};
 use ghosts_stats::ChiSquared;
 use std::cell::Cell;
@@ -63,26 +63,41 @@ impl From<GlmError> for CiError {
     }
 }
 
-/// Profile log-likelihood at ghost count `n0` (≥ 0).
-fn profile_loglik(
-    table: &ContingencyTable,
-    model: &LogLinearModel,
-    cell_model: CellModel,
-    fit_opts: &FitOptions,
-    n0: f64,
-) -> Result<f64, GlmError> {
-    let design = model.design_matrix_with_ghost();
-    let mut y = Vec::with_capacity(design.rows());
-    y.push(n0.max(0.0));
-    y.extend(table.observed_cells());
-    let family = match cell_model {
-        CellModel::Poisson => glm::CountFamily::Poisson,
-        CellModel::Truncated { limit } => {
-            glm::CountFamily::TruncatedPoisson(vec![limit.max(1); y.len()])
-        }
-    };
-    let fit = glm::fit(&design, &y, &family, fit_opts.glm_options())?;
-    Ok(fit.log_likelihood)
+/// The fixed part of a profile: the design with the ghost row, and the
+/// observed cells behind a ghost placeholder, with their `ln Γ` and limits.
+struct Profile {
+    design: LogLinearDesign,
+    counts: Counts,
+}
+
+impl Profile {
+    fn new(
+        table: &ContingencyTable,
+        model: &LogLinearModel,
+        cell_model: CellModel,
+    ) -> Result<Self, GlmError> {
+        let design = model.design_with_ghost();
+        let mut y = Vec::with_capacity(design.rows());
+        y.push(0.0);
+        y.extend(table.observed_cells());
+        let family = match cell_model {
+            CellModel::Poisson => CountFamily::Poisson,
+            CellModel::Truncated { limit } => {
+                CountFamily::TruncatedPoisson(vec![limit.max(1); y.len()])
+            }
+        };
+        Ok(Profile {
+            design,
+            counts: Counts::new(y, family)?,
+        })
+    }
+
+    /// Profile log-likelihood at ghost count `n0` (≥ 0).
+    fn loglik(&self, fit_opts: &FitOptions, n0: f64) -> Result<f64, GlmError> {
+        let counts = self.counts.with_cell(0, n0.max(0.0))?;
+        let fit = glm::fit_counts(&self.design, &counts, fit_opts.glm_options())?;
+        Ok(fit.log_likelihood)
+    }
 }
 
 /// Computes the profile-likelihood range for `N̂` under `model`.
@@ -156,6 +171,7 @@ pub fn profile_interval_opts(
     }
     let point_fit = fit_llm_opts(table, model, cell_model, fit_opts, obs)?;
     let z0_hat = point_fit.z0;
+    let profile = Profile::new(table, model, cell_model)?;
     // The profile search is sequential, so a plain Cell counts evaluations.
     let evals = Cell::new(0u64);
 
@@ -165,18 +181,17 @@ pub fn profile_interval_opts(
     let hi_bracket = (z0_hat * 3.0).max(10.0);
     let neg_ell = |n0: f64| -> f64 {
         evals.set(evals.get() + 1);
-        -profile_loglik(table, model, cell_model, fit_opts, n0).unwrap_or(f64::NEG_INFINITY)
+        -profile.loglik(fit_opts, n0).unwrap_or(f64::NEG_INFINITY)
     };
     let n0_star = golden_min(neg_ell, lo_bracket, hi_bracket, 1e-8)
         .expect("bracket is well-formed by construction"); // lint: allow(no-unwrap) lo < hi checked above
-    let ell_max = profile_loglik(table, model, cell_model, fit_opts, n0_star)?;
+    let ell_max = profile.loglik(fit_opts, n0_star)?;
     let threshold = ell_max - ChiSquared::new(1.0).quantile(1.0 - alpha) / 2.0;
 
     // Shifted profile: positive inside the interval, negative outside.
     let g = |n0: f64| -> f64 {
         evals.set(evals.get() + 1);
-        profile_loglik(table, model, cell_model, fit_opts, n0).unwrap_or(f64::NEG_INFINITY)
-            - threshold
+        profile.loglik(fit_opts, n0).unwrap_or(f64::NEG_INFINITY) - threshold
     };
 
     // Lower end: between 0 and the maximiser.

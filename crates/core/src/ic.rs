@@ -13,7 +13,7 @@
 use crate::fit::{CellModel, FitOptions};
 use crate::history::ContingencyTable;
 use crate::model::LogLinearModel;
-use ghosts_stats::glm::{self, GlmError};
+use ghosts_stats::glm::{self, Counts, Design, GlmError};
 
 /// Which information criterion to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,25 +138,100 @@ pub fn evaluate_ic_opts(
     rule: DivisorRule,
     fit_opts: &FitOptions,
 ) -> Result<IcResult, GlmError> {
-    let d = rule.divisor_for(table);
-    let y = scaled_counts(table, d);
-    let design = model.design_matrix();
-    let family = cell_model.family(y.len(), d);
-    let fit = glm::fit(&design, &y, &family, fit_opts.glm_options())?;
-    let k = model.num_params();
-    let m_scaled: f64 = y.iter().sum::<f64>().max(1.0);
-    let ic = match kind {
-        IcKind::Aic => 2.0 * k as f64 - 2.0 * fit.log_likelihood,
-        IcKind::Bic => m_scaled.ln() * k as f64 - 2.0 * fit.log_likelihood,
-    };
-    Ok(IcResult {
-        ic,
-        log_likelihood: fit.log_likelihood,
-        k,
-        divisor: d,
-        iterations: fit.iterations,
-        converged: fit.converged,
-    })
+    ScaledTable::new(table, cell_model, rule)?.evaluate(model, kind, fit_opts)
+}
+
+/// A table prepared for IC evaluation: the divisor, the scaled counts
+/// with their `ln Γ(y+1)`, and the scaled truncation limits. The model
+/// search builds it once per table and scores every candidate against it.
+#[derive(Debug, Clone)]
+pub struct ScaledTable {
+    divisor: u64,
+    counts: Counts,
+    /// The scaled observed total `M` of the BIC penalty (at least 1).
+    m_scaled: f64,
+}
+
+impl ScaledTable {
+    /// Scales `table` by the divisor `rule` picks for it.
+    ///
+    /// # Errors
+    ///
+    /// [`GlmError::InvalidResponse`] if a scaled count is invalid (it
+    /// cannot be for a table of `u64` counts).
+    pub fn new(
+        table: &ContingencyTable,
+        cell_model: CellModel,
+        rule: DivisorRule,
+    ) -> Result<Self, GlmError> {
+        let divisor = rule.divisor_for(table);
+        let y = scaled_counts(table, divisor);
+        let m_scaled = y.iter().sum::<f64>().max(1.0);
+        let family = cell_model.family(y.len(), divisor);
+        Ok(ScaledTable {
+            divisor,
+            counts: Counts::new(y, family)?,
+            m_scaled,
+        })
+    }
+
+    /// The divisor that was applied.
+    pub fn divisor(&self) -> u64 {
+        self.divisor
+    }
+
+    /// Fits `model` to the scaled counts and evaluates the criterion.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`GlmError`] from the fitter.
+    pub fn evaluate(
+        &self,
+        model: &LogLinearModel,
+        kind: IcKind,
+        fit_opts: &FitOptions,
+    ) -> Result<IcResult, GlmError> {
+        self.evaluate_on(&model.design(), model, kind, fit_opts)
+    }
+
+    /// [`evaluate`](Self::evaluate) on the dense design matrix: the
+    /// reference the mask kernels are checked against (same result bit
+    /// for bit, several times slower).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`GlmError`] from the fitter.
+    pub fn evaluate_dense(
+        &self,
+        model: &LogLinearModel,
+        kind: IcKind,
+        fit_opts: &FitOptions,
+    ) -> Result<IcResult, GlmError> {
+        self.evaluate_on(&model.design_matrix(), model, kind, fit_opts)
+    }
+
+    fn evaluate_on<D: Design>(
+        &self,
+        design: &D,
+        model: &LogLinearModel,
+        kind: IcKind,
+        fit_opts: &FitOptions,
+    ) -> Result<IcResult, GlmError> {
+        let fit = glm::fit_counts(design, &self.counts, fit_opts.glm_options())?;
+        let k = model.num_params();
+        let ic = match kind {
+            IcKind::Aic => 2.0 * k as f64 - 2.0 * fit.log_likelihood,
+            IcKind::Bic => self.m_scaled.ln() * k as f64 - 2.0 * fit.log_likelihood,
+        };
+        Ok(IcResult {
+            ic,
+            log_likelihood: fit.log_likelihood,
+            k,
+            divisor: self.divisor,
+            iterations: fit.iterations,
+            converged: fit.converged,
+        })
+    }
 }
 
 #[cfg(test)]

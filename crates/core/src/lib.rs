@@ -77,10 +77,10 @@ pub use estimator::{
 };
 pub use fit::{fit_llm, fit_llm_opts, fit_llm_traced, CellModel, FitOptions, FittedLlm};
 pub use history::ContingencyTable;
-pub use ic::{DivisorRule, IcKind};
+pub use ic::{DivisorRule, IcKind, ScaledTable};
 pub use jackknife::{jackknife, jackknife_select, JackknifeEstimate};
 pub use lp::{chapman, lincoln_petersen, lincoln_petersen_pair, TwoSampleEstimate};
 pub use model::LogLinearModel;
 pub use mpcr::{mpcr_estimate, MinHashSketch, MpcrResult};
 pub use parallel::{panic_message, par_map, try_par_map, Parallelism};
-pub use select::{select_model, SelectionOptions, SelectionResult};
+pub use select::{select_model, select_model_dense, SelectionOptions, SelectionResult};

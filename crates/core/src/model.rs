@@ -12,7 +12,7 @@
 //! sub-terms are. This is the standard restriction for interpretable
 //! log-linear models and is what Rcapture fits.
 
-use ghosts_stats::Matrix;
+use ghosts_stats::{LogLinearDesign, Matrix};
 
 /// A hierarchical log-linear model over `t` sources.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,40 +174,30 @@ impl LogLinearModel {
         }
     }
 
-    /// The design matrix over the observed cells (history masks
-    /// `1..2^t − 1`, in ascending mask order): entry `(s−1, j)` is 1 iff
-    /// term `j` is a subset of history `s`.
+    /// The design over the observed cells (history masks `1..2^t − 1`, in
+    /// ascending mask order): column `j` indicates "term `j` ⊆ history".
+    /// The fits compute `Xβ`, `Xᵀr` and `XᵀWX` from the term masks
+    /// directly, bit-identical to the dense [`design_matrix`](Self::design_matrix).
+    pub fn design(&self) -> LogLinearDesign {
+        LogLinearDesign::new(self.t, &self.terms, false)
+    }
+
+    /// The design including the ghost cell as the **first** row (history
+    /// mask 0: only the intercept applies). Used by the profile-likelihood
+    /// interval, which treats the ghost count as data.
+    pub fn design_with_ghost(&self) -> LogLinearDesign {
+        LogLinearDesign::new(self.t, &self.terms, true)
+    }
+
+    /// The dense form of [`design`](Self::design): entry `(s−1, j)` is 1
+    /// iff term `j` is a subset of history `s`.
     pub fn design_matrix(&self) -> Matrix {
-        self.design_matrix_rows(false)
+        self.design().to_matrix()
     }
 
-    /// The design matrix including the ghost cell as the **first** row
-    /// (history mask 0: only the intercept applies). Used by the
-    /// profile-likelihood interval, which treats the ghost count as data.
+    /// The dense form of [`design_with_ghost`](Self::design_with_ghost).
     pub fn design_matrix_with_ghost(&self) -> Matrix {
-        self.design_matrix_rows(true)
-    }
-
-    fn design_matrix_rows(&self, include_ghost: bool) -> Matrix {
-        let cells = (1usize << self.t) - 1;
-        let rows = cells + usize::from(include_ghost);
-        let mut m = Matrix::zeros(rows, self.terms.len());
-        let mut row = 0;
-        if include_ghost {
-            // lint: allow(panic-path) rows >= 1 when include_ghost; column 0 is the intercept
-            m[(0, 0)] = 1.0; // intercept only
-            row = 1;
-        }
-        for s in 1..=(cells as u16) {
-            for (j, &h) in self.terms.iter().enumerate() {
-                if h & s == h {
-                    // lint: allow(panic-path) row walks the matrix's own rows, j its columns
-                    m[(row, j)] = 1.0;
-                }
-            }
-            row += 1;
-        }
-        m
+        self.design_with_ghost().to_matrix()
     }
 
     /// Human-readable description, e.g. `[1] [2] [3] [12] [13]` in the

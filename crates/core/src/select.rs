@@ -12,7 +12,7 @@
 
 use crate::fit::{CellModel, FitOptions};
 use crate::history::ContingencyTable;
-use crate::ic::{evaluate_ic_opts, DivisorRule, IcKind};
+use crate::ic::{DivisorRule, IcKind, IcResult, ScaledTable};
 use crate::invariant;
 use crate::model::LogLinearModel;
 use crate::parallel::{par_map, Parallelism};
@@ -111,8 +111,38 @@ pub fn select_model(
     cell_model: CellModel,
     opts: &SelectionOptions,
 ) -> Result<SelectionResult, GlmError> {
+    search(table, cell_model, opts, ScaledTable::evaluate)
+}
+
+/// [`select_model`] with every candidate fitted on its dense design
+/// matrix: the reference the mask kernels are checked against. It picks
+/// the same model with bit-identical IC values, several times slower.
+///
+/// # Errors
+///
+/// As [`select_model`].
+pub fn select_model_dense(
+    table: &ContingencyTable,
+    cell_model: CellModel,
+    opts: &SelectionOptions,
+) -> Result<SelectionResult, GlmError> {
+    search(table, cell_model, opts, ScaledTable::evaluate_dense)
+}
+
+/// How one candidate model is scored against the prepared table.
+type Score = fn(&ScaledTable, &LogLinearModel, IcKind, &FitOptions) -> Result<IcResult, GlmError>;
+
+fn search(
+    table: &ContingencyTable,
+    cell_model: CellModel,
+    opts: &SelectionOptions,
+    score: Score,
+) -> Result<SelectionResult, GlmError> {
     invariant::check_table(table);
-    let divisor = opts.divisor.divisor_for(table);
+    // Scaled counts, their ln Γ and the scaled limits are the same for
+    // every candidate, so they are computed once here.
+    let scaled = ScaledTable::new(table, cell_model, opts.divisor)?;
+    let divisor = scaled.divisor();
     let span = opts.obs.child("select");
     span.event(
         "search_started",
@@ -131,14 +161,7 @@ pub fn select_model(
     // for the independence rung of the degradation ladder.
     let baseline = match ghosts_faultinject::fire("select.baseline") {
         Some(_) => Err(GlmError::NonFiniteFit),
-        None => evaluate_ic_opts(
-            table,
-            &current,
-            cell_model,
-            opts.ic,
-            opts.divisor,
-            &opts.fit,
-        ),
+        None => score(&scaled, &current, opts.ic, &opts.fit),
     }
     .inspect_err(|e| {
         span.error(
@@ -171,8 +194,7 @@ pub fn select_model(
         // and the first-minimum tie-break identical to the sequential loop.
         let fits = par_map(opts.parallelism, &candidates, |_, &mask| {
             let trial = current.with_term(mask);
-            evaluate_ic_opts(table, &trial, cell_model, opts.ic, opts.divisor, &opts.fit)
-                .map(|res| (trial, res))
+            score(&scaled, &trial, opts.ic, &opts.fit).map(|res| (trial, res))
         });
         span.volatile_add("select.par_map_tasks", candidates.len() as u64);
         span.volatile_max(

@@ -5,7 +5,7 @@ use crate::addr::Prefix;
 use ghosts_addrplane::AddrPlane;
 
 /// A set of IPv4 addresses stored as one bit per address in lazily
-/// allocated 2 MiB segments (one per populated /8).
+/// allocated one-page segments (one per populated /17).
 ///
 /// Membership is a single word load; set algebra (union, intersection,
 /// subtraction) and popcounts run a word at a time over the touched

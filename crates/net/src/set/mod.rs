@@ -7,12 +7,11 @@
 //!
 //! * [`AddrSet`] — a view over the full-2^32 segmented bitmap plane
 //!   (`ghosts_addrplane::AddrPlane`): one bit per address in lazily
-//!   allocated 2 MiB segments, one per populated /8. Densely used space
-//!   costs one bit per address; completely unused /8s cost nothing, and
-//!   untouched pages inside a segment stay copy-on-write zero pages.
+//!   allocated 4 KiB segments, one per populated /17. Densely used space
+//!   costs one bit per address; unused /17s cost nothing.
 //! * [`SubnetSet`] — the same plane over the 2²⁴ possible /24 subnet ids
 //!   (a /24 is "used" if any of its addresses is, §4): subnet id `i` is
-//!   bit `i`, so the whole /24 space is the plane's first segment.
+//!   bit `i`, so the whole /24 space is the plane's first /8.
 
 mod addr_set;
 mod subnet_set;

@@ -7,9 +7,9 @@ const TOTAL_SUBNETS: u32 = 1 << 24;
 
 /// A set of /24 subnets, identified by the top 24 bits of an address
 /// (`addr >> 8`). Subnet id `i` is bit `i` of an [`AddrPlane`], so the
-/// whole /24 space fits in the plane's first 2 MiB segment, allocated
-/// on the first insert; every operation forwards to the plane's
-/// word-wise kernels.
+/// whole /24 space is the plane's first /8, whose one-page segments are
+/// allocated as ids land in them; every operation forwards to the
+/// plane's word-wise kernels.
 #[derive(Clone, Default)]
 pub struct SubnetSet {
     plane: AddrPlane,

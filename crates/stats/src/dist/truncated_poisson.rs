@@ -66,8 +66,19 @@ impl TruncatedPoisson {
 
     /// Natural log of the normalising constant `F(l; λ)` (the probability a
     /// plain Poisson falls inside the support).
-    fn ln_norm(&self) -> f64 {
+    pub fn ln_norm(&self) -> f64 {
         self.base.ln_cdf(self.limit)
+    }
+
+    /// Whether the limit sits so many standard deviations above λ that the
+    /// truncation is invisible in `f64`: there `F(l; λ)` rounds to exactly
+    /// 1, so [`ln_norm`](Self::ln_norm) is exactly 0 and the mean and
+    /// variance are exactly λ. The limit must clear `λ + 12√λ + 30`; the
+    /// Poisson upper tail beyond it is below 1e-30, far under the 2^-53
+    /// that `1 − F` needs to round `F` to 1.
+    pub fn far_from_limit(&self) -> bool {
+        let lam = self.base.lambda();
+        (self.limit as f64) > lam + 12.0 * lam.sqrt() + 30.0
     }
 
     /// Natural log of the pmf at `k`. Returns `-inf` outside the support.
@@ -97,37 +108,36 @@ impl TruncatedPoisson {
     /// For λ far below the limit this is indistinguishable from λ; as
     /// λ → ∞ it approaches `l`.
     pub fn mean(&self) -> f64 {
-        if self.limit == 0 {
-            return 0.0;
-        }
-        let lam = self.base.lambda();
-        // Fast path: when the limit is many standard deviations above λ the
-        // ratio is 1 to machine precision.
-        if (self.limit as f64) > lam + 12.0 * lam.sqrt() + 30.0 {
-            return lam;
-        }
-        let ratio = (self.base.ln_cdf(self.limit - 1) - self.ln_norm()).exp();
-        lam * ratio
+        self.mean_variance().0
     }
 
     /// Variance of the truncated variable.
     pub fn variance(&self) -> f64 {
+        self.mean_variance().1
+    }
+
+    /// Mean and variance together, sharing the normalising constant — the
+    /// per-cell pair every Newton step of a truncated GLM needs.
+    pub fn mean_variance(&self) -> (f64, f64) {
         let lam = self.base.lambda();
         if self.limit == 0 {
-            return 0.0;
+            return (0.0, 0.0);
         }
-        if (self.limit as f64) > lam + 12.0 * lam.sqrt() + 30.0 {
-            return lam;
+        // Fast path: when the limit is many standard deviations above λ the
+        // ratio is 1 to machine precision.
+        if self.far_from_limit() {
+            return (lam, lam);
         }
-        let m = self.mean();
+        let ln_norm = self.ln_norm();
+        let m = lam * (self.base.ln_cdf(self.limit - 1) - ln_norm).exp();
         if self.limit == 1 {
             // Bernoulli on {0, 1}.
-            return m * (1.0 - m);
+            return (m, m * (1.0 - m));
         }
-        let r2 = (self.base.ln_cdf(self.limit - 2) - self.ln_norm()).exp();
+        let r2 = (self.base.ln_cdf(self.limit - 2) - ln_norm).exp();
         // E[Z(Z-1)] = λ² F(l-2)/F(l).
         let ezz1 = lam * lam * r2;
-        (ezz1 + m - m * m).max(0.0)
+        (m, (ezz1 + m - m * m).max(0.0))
     }
 
     /// Draws a sample by rejection from the untruncated Poisson. When the
@@ -256,6 +266,43 @@ mod tests {
         let deriv = (m_plus - m_minus) / (2.0 * h);
         let var = TruncatedPoisson::new(lam, l).variance();
         close(deriv, var, 1e-5);
+    }
+
+    #[test]
+    fn far_limit_normaliser_is_exactly_zero() {
+        // The GLM likelihood skips `ln F(l; λ)` wherever `far_from_limit`
+        // holds, which is exact only if the term is exactly 0 there. The
+        // tail is heaviest at the smallest qualifying limit, so probe that
+        // boundary across the λ range the fits reach.
+        let mut lam = 1e-6f64;
+        while lam < 1e9 {
+            let edge = lam + 12.0 * lam.sqrt() + 30.0;
+            let limit = edge.floor() as u64 + 1;
+            let d = TruncatedPoisson::new(lam, limit);
+            assert!(d.far_from_limit(), "λ {lam} limit {limit}");
+            assert_eq!(d.ln_norm().to_bits(), 0.0f64.to_bits(), "λ {lam}");
+            lam *= 1.37;
+        }
+    }
+
+    #[test]
+    fn shared_normaliser_keeps_the_separate_formulas_bits() {
+        // `mean_variance` computes `ln F(l; λ)` once; the pair must equal,
+        // bit for bit, the mean and variance evaluated term by term with
+        // their own normalisers.
+        for &(lam, l) in &[(2.0, 5u64), (5.0, 1), (10.0, 5), (50.0, 20), (3.0, 100)] {
+            let p = Poisson::new(lam);
+            let mean = lam * (p.ln_cdf(l - 1) - p.ln_cdf(l)).exp();
+            let var = if l == 1 {
+                mean * (1.0 - mean)
+            } else {
+                let ezz1 = lam * lam * (p.ln_cdf(l - 2) - p.ln_cdf(l)).exp();
+                (ezz1 + mean - mean * mean).max(0.0)
+            };
+            let (m, v) = TruncatedPoisson::new(lam, l).mean_variance();
+            assert_eq!(m.to_bits(), mean.to_bits(), "mean at λ {lam}, l {l}");
+            assert_eq!(v.to_bits(), var.to_bits(), "variance at λ {lam}, l {l}");
+        }
     }
 
     #[test]

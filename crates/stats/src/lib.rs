@@ -12,7 +12,7 @@
 //!   chi-squared (profile-likelihood ranges, §3.3.3).
 //! * [`linalg`] — dense matrices, LU/Cholesky solvers, the §7 matrix `A`.
 //! * [`glm`] — Newton/IRLS fitting of Poisson and truncated-Poisson
-//!   log-linear models.
+//!   log-linear models, on a dense matrix or on term-mask kernels.
 //! * [`optimize`] — bisection/golden-section for profile-likelihood
 //!   interval inversion.
 //! * [`regression`] — linear trend fitting for the growth analysis (§6).
@@ -33,6 +33,8 @@ pub mod special;
 pub mod summary;
 
 pub use dist::{Binomial, ChiSquared, Normal, Poisson, TruncatedPoisson};
-pub use glm::{fit as glm_fit, CountFamily, GlmError, GlmFit, GlmOptions};
+pub use glm::{
+    fit as glm_fit, CountFamily, Counts, Design, GlmError, GlmFit, GlmOptions, LogLinearDesign,
+};
 pub use linalg::{LinalgError, Matrix};
 pub use regression::{linear_fit, LinearFit};

@@ -30,6 +30,15 @@ echo "==> addrplane smoke (bitwise 2^t kernel ≡ per-address table on the repro
 cargo test -q -p ghosts-bench --release --lib \
     plane_kernel_matches_per_address_on_repro_windows >/dev/null
 
+echo "==> GLM kernel smoke (log-linear mask kernels ≡ dense design, bit for bit)"
+# Every selection fit runs on the term-mask kernels; they must equal the
+# dense-matrix path by to_bits on random models and on the repro tables
+# at 1 and 4 threads (DESIGN.md §18.3). Debug test runs check a subset of
+# the repro cases; this release run checks all of them.
+cargo test -q -p ghosts-stats --release --test glm_kernels >/dev/null
+cargo test -q -p ghosts-bench --release --lib \
+    selection_matches_dense_oracle_on_repro_windows >/dev/null
+
 echo "==> observability smoke (repro --trace / --metrics-out + schema check)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
