@@ -14,7 +14,9 @@
 //!   and the ghost cell `z₀₀…₀` structurally zero — the all-zero history is
 //!   unobservable by definition.
 //! * **Design matrices** (§3.3.1): every entry finite. A NaN/∞ row would
-//!   silently poison the Newton score and every IC value downstream.
+//!   silently poison the Newton score and every IC value downstream. Only
+//!   dense designs need the check (`validate_design` has no `check_*`
+//!   form): the fits use the term-mask design, 0/1 by construction.
 //! * **Fit results** (§3.3.2): finite coefficients and cell means `μ`,
 //!   Poisson deviance ≥ 0, and — under the right-truncated refinement —
 //!   fitted means within the per-cell truncation bound, which is what keeps
@@ -175,7 +177,6 @@ pub fn validate_table(table: &ContingencyTable) -> Result<(), InvariantViolation
 pub fn validate_design(design: &Matrix) -> Result<(), InvariantViolation> {
     for row in 0..design.rows() {
         for col in 0..design.cols() {
-            // lint: allow(panic-path) row/col iterate the matrix's own dimensions
             let value = design[(row, col)];
             if !value.is_finite() {
                 return Err(InvariantViolation::NonFiniteDesign { row, col, value });
@@ -273,17 +274,6 @@ pub fn check_table(table: &ContingencyTable) {
         if let Err(violation) = validate_table(table) {
             // lint: allow(panic-path) deliberate fail-fast: debug-only invariant check
             panic!("contingency-table invariant violated: {violation}");
-        }
-    }
-}
-
-/// Debug-assert form of [`validate_design`]: free in release builds.
-#[inline]
-pub fn check_design(design: &Matrix) {
-    if cfg!(debug_assertions) {
-        if let Err(violation) = validate_design(design) {
-            // lint: allow(panic-path) deliberate fail-fast: debug-only invariant check
-            panic!("design-matrix invariant violated: {violation}");
         }
     }
 }
